@@ -118,13 +118,14 @@ fuzz-smoke:
 # chaos-smoke runs the seeded fault-injection suite (internal/faults)
 # under the race detector, plus the TestRace concurrency regression
 # tests guarding the bugs the guardedby/lockorder/goroleak analyzers
-# found (Serve worker join, locked pin reads, idle-session pruning).
+# found (Serve worker join, locked pin reads, idle-session pruning),
+# and the block store's batched reads racing Intern, Release and GC.
 # Every schedule is deterministic — a failure reproduces by rerunning
 # the named test, no flake triage needed.
 chaos-smoke:
 	$(GO) test -race -count=1 -run '^TestChaos' ./internal/faults
 	$(GO) test -race -count=1 -run '^TestRace' \
-		./internal/server ./internal/lifecycle ./internal/connpool
+		./internal/server ./internal/lifecycle ./internal/connpool ./internal/blockstore
 
 # race-chaos is the long variant: the same chaos schedules and race
 # regression tests, repeated so the scheduler explores more
@@ -134,7 +135,7 @@ RACE_COUNT ?= 5
 race-chaos:
 	$(GO) test -race -count=$(RACE_COUNT) -run '^TestChaos' ./internal/faults
 	$(GO) test -race -count=$(RACE_COUNT) -run '^TestRace' \
-		./internal/server ./internal/lifecycle ./internal/connpool
+		./internal/server ./internal/lifecycle ./internal/connpool ./internal/blockstore
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

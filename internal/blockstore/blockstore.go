@@ -372,10 +372,10 @@ func (s *Store) indexPath() string   { return filepath.Join(s.dir, indexFileName
 func (s *Store) journalPath() string { return filepath.Join(s.dir, journalFileName) }
 
 // BlockPath returns the payload file of id. Exposed for forensics and
-// fault-injection tests; production readers go through Get.
+// fault-injection tests; production readers go through ReadInto (or
+// Get, its single-block form), which verify every byte they return.
 func (s *Store) BlockPath(id ID) string {
-	h := id.String()
-	return filepath.Join(s.dir, dataDirName, h[:2], h+".blk")
+	return string(appendBlockPath(nil, filepath.Join(s.dir, dataDirName), id))
 }
 
 // sweepTemp removes temp debris left by a crash between CreateTemp
@@ -735,49 +735,11 @@ func (s *Store) writeBlock(id ID, p []byte, crc uint32) error {
 	return syncDir(fan)
 }
 
-// Get reads and verifies one block: footer CRC, payload length AND a
-// full digest recomputation must all agree with the reference before
-// any byte is returned. Every failure is typed (ErrCorrupt or
-// ErrNotFound) so a caller can quarantine or repair instead of
-// restoring garbage.
+// Get reads and verifies one block: it is ReadInto of a single ref,
+// with the same checks (see verifyBlock) and the same typed failures
+// (ErrCorrupt, ErrNotFound, ErrClosed).
 func (s *Store) Get(ref Ref) ([]byte, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	e, ok := s.entries[ref.ID]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, ref.ID)
-	}
-	raw, err := os.ReadFile(s.BlockPath(ref.ID))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s (payload file missing)", ErrCorrupt, ref.ID)
-		}
-		return nil, fmt.Errorf("blockstore: reading block %s: %w", ref.ID, err)
-	}
-	if len(raw) < blockFooterSize {
-		return nil, fmt.Errorf("%w: block %s truncated at %d bytes", ErrCorrupt, ref.ID, len(raw))
-	}
-	p := raw[:len(raw)-blockFooterSize]
-	if getU32(raw[len(raw)-blockFooterSize:]) != blockMagic {
-		return nil, fmt.Errorf("%w: block %s footer magic missing", ErrCorrupt, ref.ID)
-	}
-	want := getU32(raw[len(raw)-4:])
-	if uint32(len(p)) != e.len || (ref.Len != 0 && ref.Len != e.len) {
-		return nil, fmt.Errorf("%w: block %s holds %d bytes, reference says %d (index %d)",
-			ErrCorrupt, ref.ID, len(p), ref.Len, e.len)
-	}
-	if got := crc32.Checksum(p, castagnoli); got != want || got != e.crc {
-		return nil, fmt.Errorf("%w: block %s CRC %08x, footer %08x, index %08x",
-			ErrCorrupt, ref.ID, got, want, e.crc)
-	}
-	if IDOf(p) != ref.ID {
-		return nil, fmt.Errorf("%w: block %s bytes hash to a different ID", ErrCorrupt, ref.ID)
-	}
-	return p, nil
+	return s.ReadInto(nil, []Ref{ref})
 }
 
 // Contains reports whether the store holds a block for id.

@@ -3,8 +3,12 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // sampleDiffs returns one representative diff per method, each with a
@@ -103,6 +107,56 @@ func TestDiffDecodeHeaderCorruption(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantSub) {
 			t.Errorf("%s: err=%v, want substring %q", tc.name, err, tc.wantSub)
+		}
+	}
+}
+
+// TestDiffDecodeLyingLengthBounded: a header declaring a 1 GiB data
+// section, read from a reader that holds 100 bytes, must fail short
+// without allocating anything near the declared size — a reader's Len
+// is trusted only when it covers the declared length.
+func TestDiffDecodeLyingLengthBounded(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sampleDiffs()[0].Encode(&buf); err != nil { // Full: no metadata
+		t.Fatal(err)
+	}
+	hdr := buf.Bytes()[:headerSize]
+	binary.LittleEndian.PutUint64(hdr[10:], 1<<30) // DataLen
+	binary.LittleEndian.PutUint64(hdr[34:], 1<<30) // data section length
+	stream := append(append([]byte(nil), hdr...), make([]byte, 100-headerSize)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Decode of a 1 GiB claim over 100 bytes: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Decode allocated %d bytes for a 100-byte stream, want < 1 MiB", alloc)
+	}
+}
+
+// TestDiffDecodeWithoutLen decodes every sample through a reader that
+// has no Len (one byte per Read), the growing-buffer path, and checks
+// the re-encoding byte-exact.
+func TestDiffDecodeWithoutLen(t *testing.T) {
+	for _, d := range append(sampleDiffs(), benchDiff()) {
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		enc := buf.Bytes()
+		got, err := Decode(iotest.OneByteReader(bytes.NewReader(enc)))
+		if err != nil {
+			t.Fatalf("%v diff: %v", d.Method, err)
+		}
+		var again bytes.Buffer
+		if err := got.Encode(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), enc) {
+			t.Fatalf("%v diff: decode through a one-byte reader is not byte-exact", d.Method)
 		}
 	}
 }

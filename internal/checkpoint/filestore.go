@@ -773,10 +773,10 @@ func (fs *FileStore) readVerified(ck int, hooks *IOHooks) (encoded []byte, verif
 }
 
 // reassemble expands a block-mapped container into the canonical diff
-// encoding: prefix verbatim, then every referenced block fetched from
-// the shared store. Both rot in the container (caught by its footer
-// before this runs) and rot in a block (caught by the store's
-// per-block verification here) surface as typed corruption.
+// encoding: prefix verbatim, then every referenced block read in one
+// batch from the shared store. Both rot in the container (caught by
+// its footer before this runs) and rot in a block (caught by the
+// store's per-block verification here) surface as typed corruption.
 func (fs *FileStore) reassemble(container []byte) ([]byte, error) {
 	prefix, refs, dataLen, err := decodeBlockDiff(container)
 	if err != nil {
@@ -785,16 +785,9 @@ func (fs *FileStore) reassemble(container []byte) ([]byte, error) {
 	if fs.blocks == nil {
 		return nil, errNoBlockStore
 	}
-	out := make([]byte, 0, uint64(len(prefix))+dataLen)
-	out = append(out, prefix...)
-	for _, r := range refs {
-		p, err := fs.blocks.Get(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p...)
-	}
-	return out, nil
+	out := make([]byte, len(prefix), uint64(len(prefix))+dataLen)
+	copy(out, prefix)
+	return fs.blocks.ReadInto(out, refs)
 }
 
 // blockRefsAt returns the block references held by checkpoint ck's

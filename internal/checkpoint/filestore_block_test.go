@@ -410,3 +410,39 @@ func TestBlockStoreRotSurfacesAsCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkDiffBytesBlockMapped reads a 1 MiB block-mapped diff back
+// through DiffBytes: 256 block files of 4 KiB, each re-read and
+// re-verified by the block store on every call.
+func BenchmarkDiffBytesBlockMapped(b *testing.B) {
+	root := b.TempDir()
+	bs, err := blockstore.Open(filepath.Join(root, blockstore.DirName), blockstore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer bs.Close()
+	fs, err := NewFileStoreWith(filepath.Join(root, "lineage"), bs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fs.Close()
+	if err := fs.Append(randomDiff(0, 1, 1<<20)); err != nil {
+		b.Fatal(err)
+	}
+	enc, err := fs.DiffBytes(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := fs.DiffBytes(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got) != len(enc) {
+			b.Fatal("reassembled length changed")
+		}
+	}
+}

@@ -84,3 +84,26 @@ func BenchmarkDiffRoundTrip(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDecode1MiB decodes a Full diff with a 1 MiB data section
+// from a bytes.Reader, the shape of a client pulling a baseline.
+func BenchmarkDecode1MiB(b *testing.B) {
+	d := randomDiff(0, 1, 1<<20)
+	var buf bytes.Buffer
+	if err := d.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	enc := buf.Bytes()
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := Decode(bytes.NewReader(enc))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got.Data) != len(d.Data) {
+			b.Fatal("round trip mismatch")
+		}
+	}
+}
