@@ -11,7 +11,9 @@ package gpuckpt
 // goroutines per launch) so the pool's win stays measurable after the
 // old code is gone. Steady benchmarks checkpoint an unchanged buffer —
 // the allocation-free fast path — while Churn cycles through mutated
-// snapshots, exercising emit/gather/serialize every iteration.
+// snapshots, exercising emit/gather/serialize every iteration. TreeFirst
+// is the first checkpoint of a fresh Deduplicator over a buffer that
+// splits into thousands of regions, so ordering them is measured too.
 
 import (
 	"encoding/json"
@@ -195,6 +197,62 @@ func BenchmarkHotPathTreeChurn(b *testing.B) {
 	}
 }
 
+// alternatingBuffer returns size bytes made of runs of chunkSize-byte
+// chunks that alternate between unique random content and one repeated
+// pattern, each run 1-4 chunks long. A Tree checkpoint of it emits
+// about five regions per six leaves, rooted on several tree levels, so
+// the sweep emits them far from chunk order.
+func alternatingBuffer(seed int64, size, chunkSize int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	buf := make([]byte, size)
+	unique := true
+	for off := 0; off < size; unique = !unique {
+		for run := 1 + rng.Intn(4); run > 0 && off < size; run, off = run-1, off+chunkSize {
+			chunk := buf[off:min(off+chunkSize, size)]
+			if unique {
+				rng.Read(chunk)
+				continue
+			}
+			for i := range chunk {
+				chunk[i] = byte(i)
+			}
+		}
+	}
+	return buf
+}
+
+// BenchmarkHotPathTreeFirst runs the first checkpoint of a fresh
+// Deduplicator over an alternating buffer: most leaves become regions
+// of their own, so ordering the emitted regions is on the measured path.
+// Constructing the Deduplicator is not timed.
+func BenchmarkHotPathTreeFirst(b *testing.B) {
+	const size = 2 << 20
+	data := alternatingBuffer(31, size, 128)
+	pool := parallel.NewPool(hotPathWorkers)
+	defer pool.Close()
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := dedup.New(checkpoint.MethodTree, size, device.New(device.A100(), pool, nil), dedup.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		_, st, err := d.Checkpoint(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if i == 0 {
+			b.ReportMetric(float64(st.NumFirstOcur+st.NumShiftDupl), "regions")
+		}
+		d.Close()
+		b.StartTimer()
+	}
+}
+
 // The pipeline pair measures one checkpoint per op over the same
 // churned snapshots, sequential engine vs CheckpointAsync with one
 // result in flight.
@@ -253,6 +311,7 @@ var hotPathSuite = []struct {
 	{"HotPathListSteady", BenchmarkHotPathListSteady},
 	{"HotPathTreeSteady", BenchmarkHotPathTreeSteady},
 	{"HotPathTreeChurn", BenchmarkHotPathTreeChurn},
+	{"HotPathTreeFirst", BenchmarkHotPathTreeFirst},
 	{"HotPathTreeSequential", BenchmarkHotPathTreeSequential},
 	{"HotPathTreePipelined", BenchmarkHotPathTreePipelined},
 }
@@ -270,6 +329,7 @@ type hotPathReport struct {
 	Note       string         `json:"note"`
 	GoVersion  string         `json:"go_version"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
+	NumCPU     int            `json:"num_cpu"`
 	Workers    int            `json:"workers"`
 	Benchmarks []hotPathEntry `json:"benchmarks"`
 }
@@ -286,6 +346,7 @@ func TestWriteHotPathBenchJSON(t *testing.T) {
 		Note:       "real wall-clock hot path; regenerate with `make bench-json`",
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 		Workers:    hotPathWorkers,
 	}
 	for _, bm := range hotPathSuite {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"github.com/gpuckpt/gpuckpt/internal/merkle"
 )
 
 // sampleDiffs returns one representative diff per method, each with a
@@ -25,6 +27,57 @@ func sampleDiffs() []*Diff {
 		{Method: MethodTree, CkptID: 1, DataLen: 40, ChunkSize: 8,
 			FirstOcur: []uint32{1}, ShiftDupl: []ShiftRegion{{Node: 6, SrcNode: 1, SrcCkpt: 1}},
 			Data: bytes.Repeat([]byte{4}, 24)},
+	}
+}
+
+// unorderedRegionDiffs returns Tree diffs that decode but whose
+// first-occurrence regions are not disjoint and ascending, keyed by the
+// fault. Over 5 chunks of 8 bytes, node 1 covers chunks [0,3), node 2
+// [3,5), node 3 [0,2), node 4 [2,3) and node 7 [0,1).
+func unorderedRegionDiffs() map[string]*Diff {
+	tree := func(firsts ...uint32) *Diff {
+		var n int
+		geom := merkle.NewGeometry(5)
+		for _, v := range firsts {
+			off, end := geom.NodeSpan(int(v), 8, 40)
+			n += end - off
+		}
+		return &Diff{Method: MethodTree, CkptID: 0, DataLen: 40, ChunkSize: 8,
+			FirstOcur: firsts, Data: bytes.Repeat([]byte{5}, n)}
+	}
+	return map[string]*Diff{
+		"descending":      tree(2, 1),
+		"same first leaf": tree(3, 7),
+		"overlapping":     tree(1, 4),
+	}
+}
+
+// TestRecordRejectsUnorderedRegions decodes diffs whose region list is
+// not disjoint and in chunk order; Append must reject each, while the
+// same regions in order are accepted.
+func TestRecordRejectsUnorderedRegions(t *testing.T) {
+	roundTrip := func(d *Diff) *Diff {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for name, d := range unorderedRegionDiffs() {
+		err := NewRecord().Append(roundTrip(d))
+		if err == nil || !strings.Contains(err.Error(), "not in chunk order") {
+			t.Errorf("%s regions %v: Append err=%v, want \"not in chunk order\"", name, d.FirstOcur, err)
+		}
+	}
+	ok := &Diff{Method: MethodTree, CkptID: 0, DataLen: 40, ChunkSize: 8,
+		FirstOcur: []uint32{3, 4, 2}, Data: bytes.Repeat([]byte{5}, 40)}
+	if err := NewRecord().Append(roundTrip(ok)); err != nil {
+		t.Fatalf("disjoint ascending regions rejected: %v", err)
 	}
 }
 

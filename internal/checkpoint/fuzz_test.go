@@ -24,6 +24,7 @@ func FuzzDiffDecode(f *testing.F) {
 	for _, d := range sampleDiffs() {
 		f.Add(encodeSeed(f, d))
 	}
+	f.Add(encodeSeed(f, unorderedRegionDiffs()["overlapping"]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Decode(bytes.NewReader(data))
 		if err != nil {
@@ -165,6 +166,7 @@ func FuzzRestore(f *testing.F) {
 	for _, d := range sampleDiffs() {
 		f.Add(encodeSeed(f, d))
 	}
+	f.Add(encodeSeed(f, unorderedRegionDiffs()["overlapping"]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		rec := NewRecord()

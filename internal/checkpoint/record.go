@@ -196,8 +196,12 @@ func (r *Record) indexRegions(d *Diff, plain []byte) ([]storedRegion, error) {
 			return nil, fmt.Errorf("checkpoint: diff %d data section %d bytes, regions cover %d",
 				d.CkptID, len(plain), off)
 		}
-		if !sort.SliceIsSorted(idx, func(i, j int) bool { return idx[i].leafLo < idx[j].leafLo }) {
-			return nil, fmt.Errorf("checkpoint: diff %d regions not in chunk order", d.CkptID)
+		// Regions must be disjoint and ascending: resolve binary-searches
+		// them and Apply copies them in parallel.
+		for i := 1; i < len(idx); i++ {
+			if idx[i].leafLo < idx[i-1].leafHi {
+				return nil, fmt.Errorf("checkpoint: diff %d regions not in chunk order", d.CkptID)
+			}
 		}
 		return idx, nil
 	default:
@@ -213,8 +217,11 @@ func (r *Record) resolve(ck, node uint32) ([]byte, error) {
 	if int(ck) >= len(r.diffs) {
 		return nil, fmt.Errorf("checkpoint: reference to future checkpoint %d", ck)
 	}
+	if int(node) >= r.geom.NumNodes {
+		return nil, fmt.Errorf("checkpoint: node %d out of range", node)
+	}
 	spanOff, spanEnd := r.geom.NodeSpan(int(node), r.chunkSize, r.dataLen)
-	lo, _ := r.geom.LeafRange(int(node))
+	lo, hi := r.geom.LeafRange(int(node))
 	regions := r.regions[ck]
 	// Find the last region with leafLo <= lo.
 	i := sort.Search(len(regions), func(i int) bool { return regions[i].leafLo > lo }) - 1
@@ -222,7 +229,6 @@ func (r *Record) resolve(ck, node uint32) ([]byte, error) {
 		return nil, fmt.Errorf("checkpoint: node %d not stored in checkpoint %d", node, ck)
 	}
 	reg := regions[i]
-	_, hi := r.geom.LeafRange(int(node))
 	if hi > reg.leafHi {
 		return nil, fmt.Errorf("checkpoint: node %d (chunks [%d,%d)) exceeds stored region [%d,%d) of checkpoint %d",
 			node, lo, hi, reg.leafLo, reg.leafHi, ck)

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
@@ -199,5 +200,85 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		if avg := steadyStateAllocs(t, method); avg >= 1 {
 			t.Errorf("%v: %.2f allocs per steady-state checkpoint, want < 1", method, avg)
 		}
+	}
+}
+
+// splitmix64 is a stateless mixer used to fill chunks without
+// allocating.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// fillChurn writes snapshot k of a many-region churn into buf (64-byte
+// chunks): odd chunks never change (fixed duplicates), chunks 4i hold
+// content new in snapshot k (first occurrences), and chunks 4i+2 repeat
+// what chunk 4i held in snapshot k-1 (shifted duplicates). Every
+// non-fixed chunk is its own region: n/2 regions per checkpoint.
+func fillChurn(buf []byte, k int) {
+	const chunk = 64
+	n := len(buf) / chunk
+	for c := 0; c < n; c++ {
+		dst := buf[c*chunk : (c+1)*chunk]
+		var seed uint64
+		switch c % 4 {
+		case 1, 3:
+			for i := range dst {
+				dst[i] = byte(i)
+			}
+			continue
+		case 0:
+			seed = uint64(k*n + c)
+		case 2:
+			seed = uint64((k-1)*n + c - 2)
+		}
+		for i := 0; i < chunk; i += 8 {
+			binary.LittleEndian.PutUint64(dst[i:], splitmix64(seed<<3|uint64(i/8)))
+		}
+	}
+}
+
+// churnAllocs measures the average allocations of a many-region
+// checkpoint on a reused, warmed-up Deduplicator over n chunks.
+func churnAllocs(t *testing.T, n int) float64 {
+	t.Helper()
+	const warm, runs = 6, 20
+	buf := make([]byte, n*64)
+	d := newTestDedup(t, checkpoint.MethodTree, len(buf), 1,
+		Options{ChunkSize: 64, MapCapacity: 4 * (warm + runs + 2) * n})
+	k := 0
+	step := func() {
+		fillChurn(buf, k)
+		k++
+		_, st, err := d.Checkpoint(buf)
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", k, err)
+		}
+		if k > 1 && (st.NumFirstOcur != n/4 || st.NumShiftDupl != n/4) {
+			t.Fatalf("checkpoint %d: %d first + %d shifted regions, want %d each", k, st.NumFirstOcur, st.NumShiftDupl, n/4)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		step()
+	}
+	return testing.AllocsPerRun(runs, step)
+}
+
+// TestChurnAllocationsIndependentOfRegions: once warm, a Tree
+// checkpoint that emits thousands of regions allocates only what the
+// diff and the record retain — the gathered data, the FirstOcur and
+// ShiftDupl slices, the record's region index and the amortized diff
+// arena — so its allocation count does not grow with the region count.
+func TestChurnAllocationsIndependentOfRegions(t *testing.T) {
+	small := churnAllocs(t, 1<<10)
+	large := churnAllocs(t, 1<<13)
+	t.Logf("allocs per checkpoint: %.2f at 512 regions, %.2f at 4096 regions", small, large)
+	if large > 4 {
+		t.Errorf("%.2f allocs per many-region checkpoint, want at most 4", large)
+	}
+	if large > small {
+		t.Errorf("allocs grew with the region count: %.2f at 4096 regions vs %.2f at 512", large, small)
 	}
 }

@@ -130,8 +130,8 @@ func (d *Deduplicator) checkpointBasic(data []byte) (*checkpoint.Diff, Stats, er
 		l.phase("leaf-hash", leafCost)
 
 		// Gather changed chunks: sizes -> exclusive scan -> parallel copy.
-		d.gatherSizes = growInt64(d.gatherSizes, d.nChunks)
-		d.gatherOffsets = growInt64(d.gatherOffsets, d.nChunks)
+		d.gatherSizes = grow(d.gatherSizes, d.nChunks)
+		d.gatherOffsets = grow(d.gatherOffsets, d.nChunks)
 		pool.ForRange(d.nChunks, d.basicSizesBody)
 		total := parallel.ScanExclusive(pool, d.gatherSizes, d.gatherOffsets)
 		out = make([]byte, total)

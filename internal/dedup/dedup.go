@@ -245,7 +245,10 @@ type Deduplicator struct {
 	backL   launcher // pipelined-backend kernel accounting
 	gs      sweepScratch
 	regions regionCollector
-	arena   []checkpoint.Diff // batch-allocated Diffs handed out one at a time
+	// orderKeys holds the packed leaf-start keys of the emitted
+	// regions, sorted (see orderRegions).
+	orderKeys []uint64
+	arena     []checkpoint.Diff // batch-allocated Diffs handed out one at a time
 
 	frontData  []byte // buffer being hashed/labeled by the front half
 	curLevelLo int    // first node index of the level being swept
@@ -317,15 +320,36 @@ func (g *sweepScratch) takeErr() error {
 
 // regionCollector accumulates emitted region roots from concurrent
 // sweep blocks into one grow-only buffer reused across checkpoints.
+// Each block stages its regions in a buffer from take and hands it
+// back through add, so the staging buffers are reused too.
 type regionCollector struct {
 	mu sync.Mutex
 	//ckptlint:guardedby mu
 	buf []emittedRegion
+	//ckptlint:guardedby mu
+	spare [][]emittedRegion // idle staging buffers
 }
 
+// take returns an empty staging buffer for one sweep block.
+func (rc *regionCollector) take() []emittedRegion {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	n := len(rc.spare)
+	if n == 0 {
+		return nil
+	}
+	rs := rc.spare[n-1]
+	rc.spare = rc.spare[:n-1]
+	return rs[:0]
+}
+
+// add appends a block's staged regions and recycles its buffer.
 func (rc *regionCollector) add(rs []emittedRegion) {
 	rc.mu.Lock()
 	rc.buf = append(rc.buf, rs...)
+	if cap(rs) > 0 {
+		rc.spare = append(rc.spare, rs)
+	}
 	rc.mu.Unlock()
 }
 
@@ -377,11 +401,11 @@ func (d *Deduplicator) wireGeom() (dataLen uint64, chunkSize uint32) {
 	return uint64(n), uint32(cs)
 }
 
-// growInt64 returns s resized to n entries, reallocating only when the
+// grow returns s resized to n entries, reallocating only when the
 // capacity is insufficient. Contents are unspecified.
-func growInt64(s []int64, n int) []int64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

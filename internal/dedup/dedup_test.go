@@ -3,10 +3,13 @@ package dedup
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/device"
+	"github.com/gpuckpt/gpuckpt/internal/merkle"
 	"github.com/gpuckpt/gpuckpt/internal/parallel"
 )
 
@@ -543,6 +546,141 @@ func TestDeterministicDiffBytes(t *testing.T) {
 	b := encode(8)
 	if !bytes.Equal(a, b) {
 		t.Fatal("diff bytes depend on worker count")
+	}
+	t.Run("many-regions", testDeterministicManyRegions)
+}
+
+// alternatingBuf returns n bytes made of runs of chunk-sized chunks
+// that alternate between unique random content and one repeated
+// pattern, each run 1-4 chunks long: a Tree checkpoint of it emits
+// thousands of regions rooted on several tree levels.
+func alternatingBuf(rng *rand.Rand, n, chunk int) []byte {
+	buf := make([]byte, n)
+	unique := true
+	for off := 0; off < n; unique = !unique {
+		for run := 1 + rng.Intn(4); run > 0 && off < n; run, off = run-1, off+chunk {
+			c := buf[off:min(off+chunk, n)]
+			if unique {
+				rng.Read(c)
+				continue
+			}
+			for i := range c {
+				c[i] = byte(i)
+			}
+		}
+	}
+	return buf
+}
+
+// spineLeafStart is the first chunk under node v, found by walking the
+// subtree's left spine down to its leaf.
+func spineLeafStart(tr *merkle.Tree, v int) int {
+	for !tr.IsLeaf(v) {
+		v = merkle.Left(v)
+	}
+	return tr.LeafIndex(v)
+}
+
+// testDeterministicManyRegions runs the region-ordering path with
+// thousands of regions: worker counts 1, 2 and 8 and the pipelined
+// engine must encode byte-identical diffs, and each diff's region lists
+// must be strictly ascending by leaf start and equal to the emitted
+// regions sorted with a spine-walk comparator.
+func testDeterministicManyRegions(t *testing.T) {
+	const chunk = 64
+	rng := rand.New(rand.NewSource(17))
+	size := 3000*chunk + 17 // 3001 chunks: a partly filled deepest level
+	first := alternatingBuf(rng, size, chunk)
+	// The second snapshot is a new alternating buffer carrying runs of
+	// the first one's chunks, so it also references checkpoint 0.
+	second := alternatingBuf(rng, size, chunk)
+	for i := 0; i < 64; i++ {
+		n := chunk * (1 + rng.Intn(4))
+		src, dst := chunk*rng.Intn(3000-4), chunk*rng.Intn(3000-4)
+		copy(second[dst:dst+n], first[src:src+n])
+	}
+	snaps := [][]byte{first, second}
+
+	// reference orders the emitted regions with the comparator the
+	// Tree method used to sort them by.
+	reference := func(d *Deduplicator) (firsts []uint32, shifts []checkpoint.ShiftRegion) {
+		rs := append([]emittedRegion(nil), d.regions.snapshot()...)
+		sort.Slice(rs, func(i, j int) bool {
+			return spineLeafStart(d.tree, int(rs[i].node)) < spineLeafStart(d.tree, int(rs[j].node))
+		})
+		for _, r := range rs {
+			if r.label == LabelFirstOcur {
+				firsts = append(firsts, r.node)
+			} else {
+				shifts = append(shifts, checkpoint.ShiftRegion{Node: r.node, SrcNode: r.src.Node, SrcCkpt: r.src.Ckpt})
+			}
+		}
+		return firsts, shifts
+	}
+	ascending := func(tr *merkle.Tree, nodes []uint32) bool {
+		for i := 1; i < len(nodes); i++ {
+			if spineLeafStart(tr, int(nodes[i-1])) >= spineLeafStart(tr, int(nodes[i])) {
+				return false
+			}
+		}
+		return true
+	}
+
+	encodeSync := func(workers int) []byte {
+		d := newTestDedup(t, checkpoint.MethodTree, size, workers, Options{ChunkSize: chunk})
+		var out bytes.Buffer
+		for k, snap := range snaps {
+			diff, st, err := d.Checkpoint(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.NumFirstOcur+st.NumShiftDupl < 1000 {
+				t.Fatalf("checkpoint %d emitted %d regions, want the many-region path", k, st.NumFirstOcur+st.NumShiftDupl)
+			}
+			shiftNodes := make([]uint32, len(diff.ShiftDupl))
+			for i, s := range diff.ShiftDupl {
+				shiftNodes[i] = s.Node
+			}
+			if !ascending(d.tree, diff.FirstOcur) || !ascending(d.tree, shiftNodes) {
+				t.Fatalf("workers=%d checkpoint %d: regions not strictly ascending by leaf start", workers, k)
+			}
+			wantFirsts, wantShifts := reference(d)
+			if !slices.Equal(diff.FirstOcur, wantFirsts) || !slices.Equal(diff.ShiftDupl, wantShifts) {
+				t.Fatalf("workers=%d checkpoint %d: region order differs from the spine-walk sort", workers, k)
+			}
+			out.Write(encodeDiff(t, diff))
+		}
+		return out.Bytes()
+	}
+	encodeAsync := func() []byte {
+		d := newTestDedup(t, checkpoint.MethodTree, size, 2, Options{ChunkSize: chunk})
+		chans := make([]<-chan AsyncResult, len(snaps))
+		for k, snap := range snaps {
+			ch, err := d.CheckpointAsync(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chans[k] = ch
+		}
+		var out bytes.Buffer
+		for _, ch := range chans {
+			res := <-ch
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			out.Write(encodeDiff(t, res.Diff))
+		}
+		return out.Bytes()
+	}
+
+	want := encodeSync(1)
+	for _, workers := range []int{2, 8} {
+		if !bytes.Equal(encodeSync(workers), want) {
+			t.Fatalf("diff bytes with %d workers differ from 1 worker", workers)
+		}
+	}
+	if !bytes.Equal(encodeAsync(), want) {
+		t.Fatal("pipelined diff bytes differ from sequential")
 	}
 }
 

@@ -3,7 +3,7 @@ package dedup
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/gpuckpt/gpuckpt/internal/checkpoint"
 	"github.com/gpuckpt/gpuckpt/internal/device"
@@ -20,13 +20,26 @@ type emittedRegion struct {
 	src   hashmap.Entry // valid for LabelShiftDupl
 }
 
-// sortEmitted orders regions by their covered chunk range.
-func (d *Deduplicator) sortEmitted(regions []emittedRegion) {
-	sort.Slice(regions, func(i, j int) bool {
-		li, _ := d.tree.LeafRange(int(regions[i].node))
-		lj, _ := d.tree.LeafRange(int(regions[j].node))
-		return li < lj
-	})
+// orderRegions orders regions by the first chunk they cover. Each
+// region's leaf start is computed once and packed with its index into
+// one integer key, start<<32 | i; regions are disjoint, so starts are
+// distinct and sorting the keys orders the regions. It leaves the
+// sorted keys in d.orderKeys and returns the number of first-occurrence
+// and shifted-duplicate regions.
+//
+//ckptlint:noalloc
+func (d *Deduplicator) orderRegions(regions []emittedRegion) (nFirst, nShift int) {
+	keys := grow(d.orderKeys, len(regions))
+	for i := range regions {
+		lo, _ := d.tree.LeafRange(int(regions[i].node))
+		keys[i] = uint64(lo)<<32 | uint64(i)
+		if regions[i].label == LabelFirstOcur {
+			nFirst++
+		}
+	}
+	slices.Sort(keys)
+	d.orderKeys = keys
+	return nFirst, len(regions) - nFirst
 }
 
 // initBodies creates every kernel body once. The bodies read their
@@ -147,7 +160,7 @@ func (d *Deduplicator) initBodies() {
 	//ckptlint:noalloc
 	d.consolidateBody = func(lo, hi int) {
 		base := d.curLevelLo
-		var buf []emittedRegion
+		buf := d.regions.take()
 		var h, lk int64
 		for i := lo; i < hi; i++ {
 			v := base + i
@@ -179,9 +192,7 @@ func (d *Deduplicator) initBodies() {
 				d.labels[v] = LabelMixed
 			}
 		}
-		if len(buf) > 0 {
-			d.regions.add(buf)
-		}
+		d.regions.add(buf)
 		d.gs.hashed.Add(h)
 		d.gs.lookups.Add(lk)
 	}
@@ -380,8 +391,8 @@ func (d *Deduplicator) gather(data []byte, firstNodes []uint32, l *launcher) []b
 	pool := d.dev.Pool()
 	n := len(firstNodes)
 	d.gatherData, d.gatherFirsts = data, firstNodes
-	d.gatherSizes = growInt64(d.gatherSizes, n)
-	d.gatherOffsets = growInt64(d.gatherOffsets, n)
+	d.gatherSizes = grow(d.gatherSizes, n)
+	d.gatherOffsets = grow(d.gatherOffsets, n)
 	pool.ForRange(n, d.gatherSizesBody)
 	total := parallel.ScanExclusive(pool, d.gatherSizes, d.gatherOffsets)
 	out := make([]byte, total)
@@ -402,21 +413,27 @@ func (d *Deduplicator) gather(data []byte, firstNodes []uint32, l *launcher) []b
 
 // sortRegions orders emitted regions by their covered chunk range so
 // the diff layout (and therefore the wire format) is deterministic.
-// The returned slices are freshly allocated (they are retained by the
-// diff); the regions slice itself is sorted in place and reused.
+// The returned slices are freshly allocated at their exact sizes (they
+// are retained by the diff); the regions slice is left untouched.
 func (d *Deduplicator) sortRegions(regions []emittedRegion) (firsts []uint32, shifts []checkpoint.ShiftRegion) {
-	d.sortEmitted(regions)
-	for _, r := range regions {
-		switch r.label {
-		case LabelFirstOcur:
+	nFirst, nShift := d.orderRegions(regions)
+	if nFirst > 0 {
+		firsts = make([]uint32, 0, nFirst)
+	}
+	if nShift > 0 {
+		shifts = make([]checkpoint.ShiftRegion, 0, nShift)
+	}
+	for _, k := range d.orderKeys {
+		r := &regions[uint32(k)]
+		if r.label == LabelFirstOcur {
 			firsts = append(firsts, r.node)
-		case LabelShiftDupl:
-			shifts = append(shifts, checkpoint.ShiftRegion{
-				Node:    r.node,
-				SrcNode: r.src.Node,
-				SrcCkpt: r.src.Ckpt,
-			})
+			continue
 		}
+		shifts = append(shifts, checkpoint.ShiftRegion{
+			Node:    r.node,
+			SrcNode: r.src.Node,
+			SrcCkpt: r.src.Ckpt,
+		})
 	}
 	return firsts, shifts
 }

@@ -41,6 +41,8 @@ type Tree struct {
 	perfect int
 	// deep is the number of leaves on the deepest level: 2n - p.
 	deep int
+	// height is the depth of the deepest level, log2(p).
+	height int
 }
 
 // NewGeometry returns a tree describing only the shape for n leaves —
@@ -50,15 +52,14 @@ func NewGeometry(n int) *Tree {
 	if n < 1 {
 		panic(fmt.Sprintf("merkle: invalid leaf count %d", n))
 	}
-	p := 1 << bits.Len(uint(n-1)) // 2^ceil(log2 n); p=1 when n=1
-	if n == 1 {
-		p = 1
-	}
+	h := bits.Len(uint(n - 1)) // ceil(log2 n); 0 when n=1
+	p := 1 << h
 	return &Tree{
 		NumLeaves: n,
 		NumNodes:  2*n - 1,
 		perfect:   p,
 		deep:      2*n - p,
+		height:    h,
 	}
 }
 
@@ -109,6 +110,11 @@ func (t *Tree) LeafIndex(v int) int {
 	if !t.IsLeaf(v) {
 		panic(fmt.Sprintf("merkle: node %d is not a leaf", v))
 	}
+	return t.leafIndex(v)
+}
+
+// leafIndex is LeafIndex without the leaf check.
+func (t *Tree) leafIndex(v int) int {
 	if v >= t.perfect-1 {
 		return v - (t.perfect - 1)
 	}
@@ -116,16 +122,25 @@ func (t *Tree) LeafIndex(v int) int {
 }
 
 // LeafRange returns the half-open chunk range [lo, hi) covered by the
-// subtree rooted at v. Subtree leaves are contiguous in chunk order.
+// subtree rooted at node v (0 <= v < NumNodes). Subtree leaves are
+// contiguous in chunk order.
+//
+// The range is computed in O(1). The descendants of v (at depth d) on
+// the deepest level D are the nodes [(v+1)<<(D-d) - 1, (v+2)<<(D-d) - 2].
+// The deepest level is filled from the left, so an end of that interval
+// past the last node means the subtree's spine on that side stops one
+// level up, where every node exists.
 func (t *Tree) LeafRange(v int) (lo, hi int) {
-	l, r := v, v
-	for !t.IsLeaf(l) {
-		l = Left(l)
+	s := t.height - Depth(v)
+	l := (v+1)<<s - 1
+	if l >= t.NumNodes {
+		l = (v+1)<<(s-1) - 1
 	}
-	for !t.IsLeaf(r) {
-		r = Right(r)
+	r := (v+2)<<s - 2
+	if r >= t.NumNodes {
+		r = (v+2)<<(s-1) - 2
 	}
-	return t.LeafIndex(l), t.LeafIndex(r) + 1
+	return t.leafIndex(l), t.leafIndex(r) + 1
 }
 
 // NodeSpan returns the byte range [off, end) of the original buffer

@@ -238,6 +238,41 @@ func TestSingleLeafTree(t *testing.T) {
 	}
 }
 
+// spineLeafRange is the reference LeafRange: walk the leftmost and
+// rightmost spines of v's subtree down to their leaves.
+func spineLeafRange(t *Tree, v int) (lo, hi int) {
+	l, r := v, v
+	for !t.IsLeaf(l) {
+		l = Left(l)
+	}
+	for !t.IsLeaf(r) {
+		r = Right(r)
+	}
+	return t.LeafIndex(l), t.LeafIndex(r) + 1
+}
+
+// TestLeafRangeMatchesSpineWalk checks the closed-form LeafRange
+// against the spine walk for every node of every tree with up to 4096
+// leaves, and of a few large trees around a power of two.
+func TestLeafRangeMatchesSpineWalk(t *testing.T) {
+	check := func(n int) {
+		tr := NewGeometry(n)
+		for v := 0; v < tr.NumNodes; v++ {
+			lo, hi := tr.LeafRange(v)
+			wlo, whi := spineLeafRange(tr, v)
+			if lo != wlo || hi != whi {
+				t.Fatalf("n=%d: LeafRange(%d)=[%d,%d), spine walk [%d,%d)", n, v, lo, hi, wlo, whi)
+			}
+		}
+	}
+	for n := 1; n <= 4096; n++ {
+		check(n)
+	}
+	for _, n := range []int{68620, 1<<20 - 1, 1 << 20, 1<<20 + 1} {
+		check(n)
+	}
+}
+
 func BenchmarkLeafRange(b *testing.B) {
 	tr := New(1 << 20)
 	b.ResetTimer()
@@ -252,5 +287,15 @@ func BenchmarkLeafNodeMapping(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v := tr.LeafNode(i % tr.NumLeaves)
 		_ = tr.LeafIndex(v)
+	}
+}
+
+func BenchmarkNodeSpan(b *testing.B) {
+	const chunk = 128
+	tr := NewGeometry(1<<20 - 3)
+	dataLen := tr.NumLeaves*chunk - chunk/2
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = tr.NodeSpan(i%tr.NumNodes, chunk, dataLen)
 	}
 }

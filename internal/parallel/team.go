@@ -43,14 +43,13 @@ func (p *Pool) ForTeams(league, teamSize int, body func(t Team)) {
 	}
 	p.checkOpen()
 	grain := p.grainSize(league)
-	run := func(lo, hi int) {
-		for r := lo; r < hi; r++ {
+	if p.workers == 1 || league <= grain {
+		for r := 0; r < league; r++ {
 			body(Team{leagueRank: r, leagueSize: league, teamSize: teamSize})
 		}
-	}
-	if p.workers == 1 || league <= grain {
-		run(0, league)
 		return
 	}
-	p.launch(league, grain, run)
+	ls := statePool.Get().(*launchState)
+	ls.team, ls.teamSize = body, teamSize
+	p.dispatch(ls, league, grain)
 }
